@@ -39,6 +39,28 @@ def _parse_perf(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _check_sort_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Reject settings the sort cannot run with, as a usage error (exit 2)."""
+    from repro.extsort.polyphase import MIN_MEMORY_BLOCKS
+
+    if args.memory < MIN_MEMORY_BLOCKS * args.block:
+        parser.error(
+            f"argument --memory: {args.memory} items is less than "
+            f"{MIN_MEMORY_BLOCKS} blocks of --block {args.block} "
+            f"(external merging needs M >= {MIN_MEMORY_BLOCKS}B)"
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -48,10 +70,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sort = sub.add_parser("sort", help="run the external PSRS sort once")
-    p_sort.add_argument("--n", type=int, default=2**16, help="input size (items)")
+    p_sort.add_argument(
+        "--n", type=_positive_int, default=2**16, help="input size (items)"
+    )
     p_sort.add_argument("--perf", type=_parse_perf, default=_parse_perf("4,4,1,1"))
     p_sort.add_argument("--memory", type=int, default=2048, help="per-node M (items)")
-    p_sort.add_argument("--block", type=int, default=256, help="block size B (items)")
+    p_sort.add_argument(
+        "--block", type=_positive_int, default=256, help="block size B (items)"
+    )
     p_sort.add_argument("--message", type=int, default=8192, help="message size (items)")
     p_sort.add_argument(
         "--pivot-method", choices=["regular", "random", "quantile"], default="regular"
@@ -121,6 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution kernel: 'event' (overlap-aware per-node clocks) "
         "or 'lockstep' (legacy barrier-per-step BSP timing)",
     )
+    p_sort.set_defaults(check=lambda args: _check_sort_args(p_sort, args))
 
     p_cal = sub.add_parser("calibrate", help="Table-2 perf-filling protocol")
     p_cal.add_argument("--n", type=int, default=2**17, help="total input size")
@@ -934,6 +961,8 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if hasattr(args, "check"):
+        args.check(args)
     np.set_printoptions(threshold=16)
     return _COMMANDS[args.command](args)
 

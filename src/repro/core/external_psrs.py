@@ -568,19 +568,28 @@ def distribute_array(
 
     The paper's measurements exclude the initial distribution; with
     ``timed=False`` (default) all clocks and counters are reset after the
-    files are written.
+    files are written.  The reset would also drop the distribution's
+    telemetry, so an untimed distribution records none: the bus runs at
+    its lowest capture level meanwhile, and subscribers see only events
+    the log keeps.
     """
-    portions = perf.portions(data.size)
-    files: list[BlockFile] = []
-    start = 0
-    for node, l_i in zip(cluster.nodes, portions):
-        f = node.disk.new_file(
-            block_items, data.dtype, name=node.disk.next_file_name("input")
-        )
-        with BlockWriter(f, node.mem) as w:
-            w.write(data[start : start + l_i])  # repro: noqa REP105(setup distribution; excluded from measurement, clocks reset below unless timed)
-        start += l_i
-        files.append(f)
+    level = cluster.bus.level
+    if not timed:
+        cluster.bus.set_level("steps")
+    try:
+        portions = perf.portions(data.size)
+        files: list[BlockFile] = []
+        start = 0
+        for node, l_i in zip(cluster.nodes, portions):
+            f = node.disk.new_file(
+                block_items, data.dtype, name=node.disk.next_file_name("input")
+            )
+            with BlockWriter(f, node.mem) as w:
+                w.write(data[start : start + l_i])  # repro: noqa REP105(setup distribution; excluded from measurement, clocks reset below unless timed)
+            start += l_i
+            files.append(f)
+    finally:
+        cluster.bus.set_level(level)
     if not timed:
         cluster.reset()
     return files

@@ -33,6 +33,10 @@ from repro.pdm.blockfile import BlockFile, BlockWriter
 from repro.pdm.disk import SimDisk
 from repro.pdm.memory import MemoryManager
 
+#: A merge needs at least two input buffers and one output buffer, so the
+#: memory budget must hold ``M >= 3B`` items.
+MIN_MEMORY_BLOCKS = 3
+
 
 def fibonacci_distribution(n_runs: int, n_tapes: int) -> tuple[list[int], int]:
     """Perfect polyphase distribution for ``n_runs`` over ``T-1`` input tapes.
@@ -117,10 +121,10 @@ def polyphase_sort(
     """
     B = source.B
     m = mem.available // B if mem.capacity is not None else 1 << 16
-    if m < 3:
+    if m < MIN_MEMORY_BLOCKS:
         raise ValueError(
             f"memory budget of {mem.available} items (m={m} blocks) is too "
-            "small for external merging; need at least 3 blocks"
+            f"small for external merging; need at least {MIN_MEMORY_BLOCKS} blocks"
         )
     T = min(m, 8) if n_tapes is None else n_tapes
     if T > m:

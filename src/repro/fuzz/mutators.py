@@ -21,6 +21,7 @@ from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
+from repro.extsort.polyphase import MIN_MEMORY_BLOCKS
 from repro.faults.plan import DiskFault, FaultPlan, MessageFault, NodeKill
 from repro.fuzz.scenario import (
     DTYPES,
@@ -33,7 +34,6 @@ from repro.fuzz.scenario import (
     MAX_RETRIES,
     MIN_BLOCK,
     MAX_BLOCK,
-    MIN_MEMORY_BLOCKS,
     MIN_MESSAGE,
     MIN_N,
     PIVOT_METHODS,

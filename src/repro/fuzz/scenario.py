@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass, fields, replace
 from typing import Mapping, Optional
 
+from repro.extsort.polyphase import MIN_MEMORY_BLOCKS
 from repro.faults.plan import FaultPlan, FaultPlanError
 from repro.workloads.generators import BENCHMARKS
 
@@ -35,8 +36,6 @@ MIN_N, MAX_N = 64, 1 << 20
 MAX_P = 16
 MAX_PERF = 8
 MIN_BLOCK, MAX_BLOCK = 16, 1024
-#: Polyphase external merging needs at least 3 block buffers in core.
-MIN_MEMORY_BLOCKS = 3
 MAX_MEMORY = 1 << 17
 MIN_MESSAGE, MAX_MESSAGE = 32, 1 << 16
 MAX_OVERSAMPLE = 8

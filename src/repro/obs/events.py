@@ -16,13 +16,19 @@ attribution fields the whole observability layer is built on:
 
 Events serialise losslessly to flat JSON objects (``to_dict`` /
 :func:`event_from_dict`), which is what the JSONL exporter writes and
-the ``repro audit`` replay reads back.
+the ``repro audit`` replay reads back.  :func:`encode_event` renders
+one event as its JSON line directly, byte for byte what
+``json.dumps(event.to_dict())`` gives, without building the dict.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import MISSING, dataclass, fields
-from typing import ClassVar, Mapping
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
+from typing import Callable, ClassVar, Mapping
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -37,9 +43,9 @@ class Event:
 
     def to_dict(self) -> dict[str, object]:
         """Flat JSON-ready mapping; ``kind`` discriminates the type."""
+        codec = _codec(type(self))
         out: dict[str, object] = {"kind": type(self).kind}
-        for f in fields(self):
-            out[f.name] = getattr(self, f.name)
+        out.update(zip(codec.names, codec.values(self)))
         return out
 
 
@@ -200,18 +206,101 @@ EVENT_TYPES: dict[str, type[Event]] = {
 }
 
 
+# -- codec -------------------------------------------------------------------
+
+#: Field annotation -> (exact value type, ``%`` conversion that renders it
+#: as json does): ``%r`` of a finite float is ``float.__repr__`` and ``%d``
+#: of an int is ``int.__repr__``, json's own renderings; strings are
+#: escaped before formatting, so theirs is ``%s``.  Any other annotation
+#: maps to type ``object``, which no value has exactly, so such a field
+#: always takes the ``json.dumps`` fallback.
+_SLOTS: dict[object, tuple[type, str]] = {
+    "float": (float, "%r"),
+    "int": (int, "%d"),
+    "str": (str, "%s"),
+}
+
+
+@dataclass(frozen=True, slots=True)
+class _Codec:
+    """One kind's field table and JSON line template."""
+
+    names: tuple[str, ...]
+    required: frozenset[str]
+    values: Callable[[Event], tuple[object, ...]]
+    types: tuple[type, ...]
+    template: str
+    str_at: tuple[int, ...]
+    float_at: tuple[int, ...]
+
+
+_CODECS: dict[type[Event], _Codec] = {}
+
+
+def _codec(cls: type[Event]) -> _Codec:
+    """The cached codec of ``cls``, built from its fields on first use."""
+    codec = _CODECS.get(cls)
+    if codec is None:
+        fs = fields(cls)
+        names = tuple(f.name for f in fs)
+        slots = [_SLOTS.get(f.type, (object, "%s")) for f in fs]
+        items = [f"{_json_str('kind')}: {_json_str(cls.kind)}"]
+        items += [f"{_json_str(n)}: {conv}" for n, (_, conv) in zip(names, slots)]
+        codec = _CODECS[cls] = _Codec(
+            names=names,
+            required=frozenset(
+                f.name for f in fs
+                if f.default is MISSING and f.default_factory is MISSING
+            ),
+            # Every event has t/node/step, so this always yields a tuple.
+            values=attrgetter(*names),
+            types=tuple(tp for tp, _ in slots),
+            template="{" + ", ".join(items) + "}",
+            str_at=tuple(i for i, (tp, _) in enumerate(slots) if tp is str),
+            float_at=tuple(i for i, (tp, _) in enumerate(slots) if tp is float),
+        )
+    return codec
+
+
+def _json_str(text: str) -> str:
+    """``text`` as a JSON string literal, ``%``-escaped for a template."""
+    return encode_basestring_ascii(text).replace("%", "%%")
+
+
+def encode_event(event: Event) -> str:
+    """One event as its JSONL line: exactly ``json.dumps(event.to_dict())``.
+
+    Values of the annotated type fill the kind's cached template; any
+    other value (a non-finite float, which json writes as ``NaN`` /
+    ``Infinity``, a bool, a numpy scalar, ...) falls back to
+    ``json.dumps`` for the whole line.
+    """
+    codec = _codec(type(event))
+    values = codec.values(event)
+    if tuple(map(type, values)) != codec.types:
+        return json.dumps(event.to_dict())
+    for i in codec.float_at:
+        if not math.isfinite(values[i]):  # type: ignore[arg-type]
+            return json.dumps(event.to_dict())
+    slots = list(values)
+    for i in codec.str_at:
+        slots[i] = encode_basestring_ascii(slots[i])
+    return codec.template % tuple(slots)
+
+
 def event_from_dict(data: Mapping[str, object]) -> Event:
     """Inverse of :meth:`Event.to_dict` (used by the JSONL replay)."""
     kind = data.get("kind")
     if not isinstance(kind, str) or kind not in EVENT_TYPES:
         raise ValueError(f"unknown event kind {kind!r}")
     cls = EVENT_TYPES[kind]
+    codec = _codec(cls)
     kwargs: dict[str, object] = {}
-    for f in fields(cls):
-        if f.name in data:
-            kwargs[f.name] = data[f.name]
-        elif f.default is MISSING:
+    for name in codec.names:
+        if name in data:
+            kwargs[name] = data[name]
+        elif name in codec.required:
             # Defaulted fields may be absent (logs written before the
             # field existed deserialise with the default).
-            raise ValueError(f"event {kind!r} is missing field {f.name!r}")
+            raise ValueError(f"event {kind!r} is missing field {name!r}")
     return cls(**kwargs)  # type: ignore[arg-type]

@@ -5,7 +5,8 @@ Three machine-readable renderings of one
 
 * **JSONL** — one JSON object per line; an optional first ``run_meta``
   line carries the run parameters the bounds auditor needs, so a saved
-  log replays with ``repro audit run.jsonl``.
+  log replays with ``repro audit run.jsonl``.  The writer streams: it
+  encodes and writes a bounded chunk of lines at a time.
 * **Chrome trace** — the ``traceEvents`` JSON format understood by
   ``chrome://tracing`` and https://ui.perfetto.dev: one process (pid)
   per node, one thread (tid) per track (steps, barrier, each disk, net,
@@ -21,7 +22,8 @@ start time, so ``ts`` is non-decreasing across the file.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.obs.events import (
     BarrierWait,
@@ -34,6 +36,7 @@ from repro.obs.events import (
     NetTransfer,
     Retry,
     StepEnd,
+    encode_event,
     event_from_dict,
 )
 from repro.obs.profiler.timeline import merge_intervals
@@ -47,25 +50,40 @@ _US = 1e6  # seconds -> microseconds
 # -- JSONL ------------------------------------------------------------------
 
 
-def events_to_jsonl(
-    events: Iterable[Event], meta: Optional[Mapping[str, object]] = None
-) -> str:
-    """Serialise events (and an optional leading run_meta line) to JSONL."""
-    lines = []
+#: Encoded lines joined per write: the writer's memory on top of the
+#: events it is given is one chunk, whatever the length of the log.
+JSONL_CHUNK_LINES = 2048
+
+
+def _jsonl_lines(
+    events: Iterable[Event], meta: Optional[Mapping[str, object]]
+) -> Iterator[str]:
+    """The log's lines, without newlines: optional run_meta, then events."""
     if meta is not None:
         record = {"kind": "run_meta"}
         record.update(meta)
-        lines.append(json.dumps(record))
-    for e in events:
-        lines.append(json.dumps(e.to_dict()))
-    return "\n".join(lines) + "\n"
+        yield json.dumps(record)
+    yield from map(encode_event, events)
 
 
 def write_jsonl(
     path: str, events: Iterable[Event], meta: Optional[Mapping[str, object]] = None
 ) -> None:
+    """Stream the log to ``path``, ``JSONL_CHUNK_LINES`` lines per write.
+
+    ``events`` may be any iterable (a generator too); it is read once.
+    Each line is ``json.dumps`` of the record, newline-terminated; a log
+    with no lines at all is a single newline.
+    """
+    lines = _jsonl_lines(events, meta)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(events_to_jsonl(events, meta))
+        chunk = list(islice(lines, JSONL_CHUNK_LINES))
+        if not chunk:
+            fh.write("\n")
+        while chunk:
+            fh.write("\n".join(chunk))
+            fh.write("\n")
+            chunk = list(islice(lines, JSONL_CHUNK_LINES))
 
 
 def read_jsonl(path: str) -> tuple[Optional[dict], list[Event]]:

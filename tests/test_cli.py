@@ -20,6 +20,30 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sort", "--perf", "0,1"])
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--n", "0"], "argument --n: must be >= 1, got 0"),
+            (["--block", "0"], "argument --block: must be >= 1, got 0"),
+            (
+                ["--n", "4096", "--memory", "100", "--block", "64"],
+                "argument --memory: 100 items is less than 3 blocks of --block 64",
+            ),
+        ],
+    )
+    def test_invalid_sort_settings_are_usage_errors(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["sort", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro sort: error: {message}" in err
+        assert "Traceback" not in err
+
+    def test_memory_of_exactly_three_blocks_sorts(self, capsys):
+        rc = main(["sort", "--n", "2000", "--perf", "1,1", "--memory", "192",
+                   "--block", "64"])
+        assert rc == 0 and "verified" in capsys.readouterr().out
+
     def test_bad_pivot_method_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sort", "--pivot-method", "bogus"])

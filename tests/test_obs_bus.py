@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster.machine import Cluster, heterogeneous_cluster
 from repro.cluster.trace import Trace
-from repro.core.external_psrs import PSRSConfig, sort_array
+from repro.core.external_psrs import PSRSConfig, distribute_array, sort_array
 from repro.core.perf import PerfVector
 from repro.obs.bus import LEVELS, TelemetryBus
 from repro.obs.events import (
@@ -150,6 +150,28 @@ class TestClusterWiring:
         assert merged.labels
         for step, io in res.step_io.items():
             assert merged.labels.get(step, 0) == io.block_ios
+
+    def test_subscriber_sees_exactly_the_retained_events(self):
+        """The untimed distribution records nothing the reset would drop."""
+        perf = PerfVector([1, 1, 4, 4])
+        data = make_benchmark(0, perf.nearest_exact(4_000), seed=0)
+        cluster = Cluster(heterogeneous_cluster([1.0, 1.0, 4.0, 4.0], memory_items=2048))
+        cluster.bus.set_level("full")
+        seen = []
+        cluster.bus.subscribe(seen.append)
+        sort_array(cluster, perf, data, PSRSConfig(block_items=256, message_items=2048))
+        assert cluster.bus.level == "full"
+        assert len(seen) == len(cluster.bus.events) > 0
+
+    def test_timed_distribution_is_still_recorded(self):
+        perf = PerfVector([1, 1])
+        cluster = Cluster(heterogeneous_cluster([1.0, 1.0], memory_items=2048))
+        cluster.bus.set_level("full")
+        data = make_benchmark(0, 4_000, seed=0)
+        distribute_array(cluster, perf, data, 256, timed=True)
+        kinds = {type(e) for e in cluster.bus.events}
+        assert {BlockWrite, MemReserve} <= kinds
+        assert cluster.bus.level == "full"
 
     def test_reset_clears_bus(self):
         cluster, _ = _run(n=4_000, level="io")

@@ -1,13 +1,21 @@
 """Tests for the JSONL, Chrome-trace, and Prometheus exporters."""
 
+import dataclasses
+import itertools
 import json
 import pathlib
+import tracemalloc
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.cluster.machine import Cluster, heterogeneous_cluster
 from repro.core.external_psrs import PSRSConfig, sort_array
 from repro.core.perf import PerfVector
+from repro.obs import exporters
 from repro.obs.events import (
+    EVENT_TYPES,
     BarrierWait,
     BlockRead,
     BlockWrite,
@@ -18,6 +26,8 @@ from repro.obs.events import (
     Retry,
     StepBegin,
     StepEnd,
+    encode_event,
+    event_from_dict,
 )
 from repro.obs.exporters import (
     read_jsonl,
@@ -105,6 +115,145 @@ class TestJSONL:
         meta, back = read_jsonl(str(path))
         assert meta is None
         assert back == hand_built_events()
+
+
+def reference_jsonl(events, meta=None) -> str:
+    """The list-then-join rendering the streaming writer must reproduce.
+
+    Every record is ``json.dumps`` of a dict built from
+    ``dataclasses.fields``; the lines are joined with newlines plus one
+    final newline (so an empty log is a single newline).
+    """
+    lines = []
+    if meta is not None:
+        record = {"kind": "run_meta"}
+        record.update(meta)
+        lines.append(json.dumps(record))
+    for e in events:
+        record = {"kind": type(e).kind}
+        for f in dataclasses.fields(e):
+            record[f.name] = getattr(e, f.name)
+        lines.append(json.dumps(record))
+    return "\n".join(lines) + "\n"
+
+
+#: Strings json must escape: quotes, backslashes, control characters,
+#: non-ASCII (BMP and astral) and a lone surrogate.
+AWKWARD_TEXT = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", "a\"b\\c", "\x00\x1f\n\t\x7f", "é€😀", "\ud800", "100%s%%"]),
+)
+
+
+def _value(annotation: str) -> st.SearchStrategy:
+    """Values for a field: its annotated type, or one the template can't render.
+
+    Ints in float fields and bools in int fields render differently
+    from the annotated type; ``floats()`` includes NaN and infinities.
+    """
+    return {
+        "float": st.one_of(st.floats(), st.integers()),
+        "int": st.one_of(st.integers(), st.booleans()),
+        "str": AWKWARD_TEXT,
+    }[annotation]
+
+
+@st.composite
+def any_event(draw):
+    cls = draw(st.sampled_from(sorted(EVENT_TYPES.values(), key=lambda c: c.kind)))
+    required, optional = {}, {}
+    for f in dataclasses.fields(cls):
+        has_default = f.default is not dataclasses.MISSING
+        (optional if has_default else required)[f.name] = _value(f.type)
+    return cls(**draw(st.fixed_dictionaries(required, optional=optional)))
+
+
+class TestEventCodec:
+    @given(any_event())
+    @example(BlockRead(t=float("nan"), node=0, step="s", disk="d", n_items=1,
+                       itemsize=4, cost=float("inf"), queued=float("-inf")))
+    @example(StepEnd(t=-0.0, node=True, step="\ud800\"\\", duration=1e300))
+    @example(FaultInjected(t=1e-7, node=-1, step="é", category="%d",
+                           detail="%(x)s"))
+    def test_encoded_line_is_json_dumps_of_to_dict(self, event):
+        assert encode_event(event) == json.dumps(event.to_dict())
+
+    @given(any_event())
+    def test_to_dict_lists_every_field_in_order(self, event):
+        expected = {"kind": type(event).kind}
+        expected.update(
+            (f.name, getattr(event, f.name)) for f in dataclasses.fields(event)
+        )
+        got = event.to_dict()
+        # Same value objects on both sides, so even NaN compares equal.
+        assert got == expected and list(got) == list(expected)
+
+    def test_defaulted_fields_are_optional_on_decode(self):
+        e = event_from_dict(
+            {"kind": "block_read", "t": 1.0, "node": 0, "step": "s",
+             "disk": "d", "n_items": 4, "itemsize": 4, "cost": 0.5}
+        )
+        assert (e.queued, e.stream, e.offset) == (-1.0, "", -1)
+
+    def test_decode_errors_are_unchanged(self):
+        with pytest.raises(ValueError, match="unknown event kind 'bogus'"):
+            event_from_dict({"kind": "bogus"})
+        with pytest.raises(ValueError, match="unknown event kind None"):
+            event_from_dict({"t": 0.0})
+        # The first missing required field, in declaration order, is named.
+        with pytest.raises(
+            ValueError, match="event 'block_read' is missing field 'node'"
+        ):
+            event_from_dict({"kind": "block_read", "t": 0.0})
+
+
+class TestStreamingWriter:
+    def test_real_run_matches_reference_rendering(self, tmp_path):
+        perf = PerfVector([1, 1, 4, 4])
+        data = make_benchmark(0, perf.nearest_exact(8_000), seed=0)
+        cluster = Cluster(heterogeneous_cluster([1.0, 1.0, 4.0, 4.0], memory_items=1024))
+        cluster.bus.set_level("full")
+        sort_array(cluster, perf, data, PSRSConfig(block_items=64, message_items=512))
+        events = cluster.bus.events
+        assert len(events) > exporters.JSONL_CHUNK_LINES  # several chunks
+        meta = {"n_items": int(data.size), "perf": [1, 1, 4, 4], "note": "é\"x"}
+        path = tmp_path / "run.jsonl"
+        write_jsonl(str(path), events, meta)
+        assert path.read_bytes() == reference_jsonl(events, meta).encode()
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 13, 14])
+    @pytest.mark.parametrize("with_meta", [False, True])
+    def test_chunk_boundaries_do_not_change_bytes(
+        self, tmp_path, monkeypatch, chunk, with_meta
+    ):
+        monkeypatch.setattr(exporters, "JSONL_CHUNK_LINES", chunk)
+        meta = {"n_items": 8} if with_meta else None
+        events = hand_built_events()  # 13 events
+        path = tmp_path / "e.jsonl"
+        write_jsonl(str(path), iter(events), meta)
+        assert path.read_bytes() == reference_jsonl(events, meta).encode()
+
+    @pytest.mark.parametrize("meta", [None, {"n_items": 0}])
+    def test_empty_log(self, tmp_path, meta):
+        path = tmp_path / "e.jsonl"
+        write_jsonl(str(path), [], meta)
+        assert path.read_text() == reference_jsonl([], meta)
+
+    def test_memory_is_bounded_by_the_chunk_not_the_log(self, tmp_path):
+        """Writing 100k events from a generator never holds the whole log."""
+        n = 100_000
+        events = (e for _, e in zip(range(n), itertools.cycle(hand_built_events())))
+        path = tmp_path / "big.jsonl"
+        tracemalloc.start()
+        try:
+            write_jsonl(str(path), events, {"n_items": n})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 10 * 2**20  # the log itself is larger
+        assert peak < 5 * 2**20, f"writer peaked at {peak / 2**20:.1f} MiB"
+        with open(path) as fh:
+            assert sum(1 for _ in fh) == n + 1
 
 
 class TestPrometheus:
